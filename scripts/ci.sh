@@ -73,6 +73,14 @@
 #      sweeps 1/2/4/8 shards at 64 and 256 nodes. The sweep's wall-clock
 #      speedup is NOT gated: it depends on host core count (a 1-core CI box
 #      legitimately measures ~1x). The determinism gate is the ctest suite.
+#  11. Headline-benchmark oracle smoke: run perfbench/run.py for half a
+#      second of bulk_sharded (2-6 KiB multi-fragment payloads on the sharded
+#      engine) and of ring_small (128 B payloads on the CSMA wire), and fail
+#      unless the result line reads "correct": true with "failed": 0. Its
+#      oracles check every payload's content and exactly-once delivery end to
+#      end, so a change to the per-byte path (checksum, fragmentation,
+#      reassembly) that damages payloads fails here even when every digest
+#      suite still agrees with itself. The benchmark builds into .bench_build/.
 #
 #   scripts/ci.sh [jobs]
 set -eu
@@ -159,5 +167,19 @@ cmake --build "$repo_root/build-tsan" -j "$jobs" --target parallel_sim_test
 echo "== sharded engine smoke (shard sweep, quick) =="
 "$repo_root/build/bench/bench_throughput" --quick \
   --json="$repo_root/build/BENCH_bench_throughput_smoke.json"
+
+echo "== headline benchmark oracle smoke (payload content end to end) =="
+for workload in bulk_sharded ring_small; do
+  python3 "$repo_root/perfbench/run.py" --workload "$workload" --seed 1 \
+    --seconds 0.5 --trace 0 > "$repo_root/build/perfbench_$workload.txt"
+  tail -n 1 "$repo_root/build/perfbench_$workload.txt" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s" %
+             (sys.argv[1], result["correct"], result["failed"]))
+print("perfbench %s: correct, 0 failed" % sys.argv[1])
+' "$workload"
+done
 
 echo "CI OK"

@@ -1,5 +1,7 @@
 #include "src/common/bytes.h"
 
+#include <bit>
+
 namespace eden {
 
 Bytes ToBytes(std::string_view text) {
@@ -186,30 +188,76 @@ uint64_t Fnv1a64(std::string_view text) {
 
 namespace {
 
-// Table-driven reflected CRC-32; the table is built once on first use.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
-    for (uint32_t i = 0; i < 256; i++) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; bit++) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      entries[i] = crc;
-    }
-    return entries;
-  }();
-  return table;
+// Little-endian word loads through memcpy: bodies sit at any offset inside a
+// shared buffer, so a cast-and-dereference would be an unaligned access.
+uint32_t Load32(const uint8_t* data) {
+  uint32_t word;
+  std::memcpy(&word, data, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap32(word);
+  }
+  return word;
 }
+
+uint64_t Load64(const uint8_t* data) {
+  uint64_t word;
+  std::memcpy(&word, data, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+// Slicing-by-16 tables for the reflected CRC-32: row 0 is the classic
+// byte-at-a-time table, and row k advances a byte's contribution through k
+// further zero bytes, so one 16-byte block folds in with 16 independent
+// lookups instead of a 16-step dependency chain.
+struct Crc32Tables {
+  uint32_t row[16][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; i++) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; bit++) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    tables.row[0][i] = crc;
+  }
+  for (int k = 1; k < 16; k++) {
+    for (uint32_t i = 0; i < 256; i++) {
+      uint32_t prev = tables.row[k - 1][i];
+      tables.row[k][i] = (prev >> 8) ^ tables.row[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32 = MakeCrc32Tables();
 
 }  // namespace
 
 uint32_t Crc32Begin() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, const uint8_t* data, size_t size) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = kCrc32.row;
+  for (; size >= 16; data += 16, size -= 16) {
+    uint32_t a = Load32(data) ^ state;
+    uint32_t b = Load32(data + 4);
+    uint32_t c = Load32(data + 8);
+    uint32_t d = Load32(data + 12);
+    state = t[15][a & 0xffu] ^ t[14][(a >> 8) & 0xffu] ^
+            t[13][(a >> 16) & 0xffu] ^ t[12][a >> 24] ^
+            t[11][b & 0xffu] ^ t[10][(b >> 8) & 0xffu] ^
+            t[9][(b >> 16) & 0xffu] ^ t[8][b >> 24] ^
+            t[7][c & 0xffu] ^ t[6][(c >> 8) & 0xffu] ^
+            t[5][(c >> 16) & 0xffu] ^ t[4][c >> 24] ^
+            t[3][d & 0xffu] ^ t[2][(d >> 8) & 0xffu] ^
+            t[1][(d >> 16) & 0xffu] ^ t[0][d >> 24];
+  }
   for (size_t i = 0; i < size; i++) {
-    state = (state >> 8) ^ table[(state ^ data[i]) & 0xffu];
+    state = (state >> 8) ^ t[0][(state ^ data[i]) & 0xffu];
   }
   return state;
 }
@@ -221,6 +269,49 @@ uint32_t Crc32(const uint8_t* data, size_t size) {
 }
 
 uint32_t Crc32(BytesView bytes) { return Crc32(bytes.data(), bytes.size()); }
+
+namespace {
+
+// One lane step, a bijection of `lane` for a fixed `word` and of `word` for
+// a fixed `lane`: a single changed word always changes the lane it enters.
+uint64_t HashStep(uint64_t lane, uint64_t word) {
+  lane = (lane ^ word) * 0x9E3779B97F4A7C15ULL;
+  return lane ^ (lane >> 32);
+}
+
+}  // namespace
+
+uint64_t Hash64(BytesView bytes) {
+  const uint8_t* data = bytes.data();
+  size_t size = bytes.size();
+  // Four independent lanes keep four multiplies in flight per 32 bytes.
+  uint64_t lane0 = 0x243F6A8885A308D3ULL;
+  uint64_t lane1 = 0x13198A2E03707344ULL;
+  uint64_t lane2 = 0xA4093822299F31D0ULL;
+  uint64_t lane3 = 0x082EFA98EC4E6C89ULL;
+  for (; size >= 32; data += 32, size -= 32) {
+    lane0 = HashStep(lane0, Load64(data));
+    lane1 = HashStep(lane1, Load64(data + 8));
+    lane2 = HashStep(lane2, Load64(data + 16));
+    lane3 = HashStep(lane3, Load64(data + 24));
+  }
+  uint64_t hash = HashStep(HashStep(HashStep(lane0, lane1), lane2), lane3);
+  for (; size >= 8; data += 8, size -= 8) {
+    hash = HashStep(hash, Load64(data));
+  }
+  uint64_t tail = 0;
+  for (size_t i = 0; i < size; i++) {
+    tail |= static_cast<uint64_t>(data[i]) << (8 * i);
+  }
+  hash = HashStep(hash, tail) ^ bytes.size();
+  // murmur3's 64-bit finalizer, so the length and the last word avalanche.
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdULL;
+  hash ^= hash >> 33;
+  hash *= 0xc4ceb9fe1a85ec53ULL;
+  hash ^= hash >> 33;
+  return hash;
+}
 
 void Digest::Mix(uint64_t value) {
   for (int i = 0; i < 8; i++) {

@@ -166,12 +166,22 @@ class BufferReader {
   size_t pos_ = 0;
 };
 
-// 64-bit FNV-1a, used for content digests (determinism tests, replica
-// integrity checks). Not cryptographic; Eden's threat model excludes
-// malicious users (paper section 2).
+// 64-bit FNV-1a, a stable hash for values that are compared across replicas
+// or decide placement (representation digests, stable-store track choice).
+// Not cryptographic; Eden's threat model excludes malicious users (paper
+// section 2).
 uint64_t Fnv1a64(const uint8_t* data, size_t size);
 uint64_t Fnv1a64(BytesView bytes);
 uint64_t Fnv1a64(std::string_view text);
+
+// Word-at-a-time 64-bit hash: 8 bytes per step over four independent
+// multiply-xorshift lanes, then the tail and the length, then a final
+// avalanche. Over an order of magnitude faster than Fnv1a64 on kilobyte
+// buffers, and any single-bit flip in a buffer of a given length changes the
+// result. Valid only for in-process equality oracles (NodeKernel::digest()):
+// its values are not a stable format, so never persist them, place data by
+// them or compare them across versions of this code — use Fnv1a64 for that.
+uint64_t Hash64(BytesView bytes);
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum a
 // 1981-era controller would compute in hardware. Used to detect wire

@@ -60,14 +60,6 @@ class InvokeContext {
                               InvokeArgs args = {},
                               const InvokeOptions& options = kDefaultInvokeOptions);
 
-  // Deprecated positional-timeout form; use InvokeOptions instead.
-  [[deprecated("pass InvokeOptions instead of a positional timeout")]]
-  Future<InvokeResult> Invoke(const Capability& target, const std::string& op,
-                              InvokeArgs args, SimDuration timeout) {
-    return Invoke(target, op, std::move(args),
-                  InvokeOptions::WithTimeout(timeout));
-  }
-
   // Records the representation on stable storage per the checksite policy.
   // The type programmer must call this at a consistent point (section 4.4).
   Future<Status> Checkpoint();

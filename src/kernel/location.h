@@ -55,8 +55,8 @@ enum class LocationBackend : uint8_t {
 
 std::string_view LocationBackendName(LocationBackend backend);
 
-// Locate knobs, gathered on the builder (`WithLocation`) — see LocateConfig
-// notes in node_kernel.h for the deprecated loose aliases.
+// Locate knobs, set on a node through the builder (`WithLocation`) and held
+// as KernelConfig::locate.
 struct LocateConfig {
   LocationBackend backend = LocationBackend::kDirectory;
   // Per-round timeout and round budget (shared by both backends; a directory

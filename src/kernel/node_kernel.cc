@@ -783,7 +783,7 @@ void NodeKernel::OnMessage(StationId src, BytesView message) {
   // Per-node determinism oracle: the full inbound stream in arrival order.
   digest_.Mix(static_cast<uint64_t>(sim().now()));
   digest_.Mix(src);
-  digest_.Mix(Fnv1a64(message));
+  digest_.Mix(Hash64(message));
   // Any traffic from a peer is liveness evidence (find-only on healthy peers).
   ReportPeerAlive(src);
   auto kind = PeekMessageKind(message);

@@ -416,5 +416,74 @@ TEST_F(TransportFixture, CorruptedFragmentOnlyCostsThatFragment) {
   EXPECT_EQ(a.stats().retransmits, 1u);
 }
 
+// Two LANs joined by a relay that flips chosen bits: the only way to aim a
+// flip at a particular part of a frame, since the chaos hook's flip lands on
+// a seeded random bit. Station ids line up across the bridge (a and the
+// relay's far side are station 0, the relay's near side and b are station
+// 1), so each transport sees the other as its direct peer.
+TEST(TransportChecksumTest, MultiFragmentFlipsInWordLoopAndByteTailAreCaught) {
+  Simulation sim;
+  Lan near_lan(sim);
+  Lan far_lan(sim);
+  Transport a(sim, near_lan);
+  Station* near_side = near_lan.AttachStation();
+  Station* far_side = far_lan.AttachStation();
+  Transport b(sim, far_lan);
+  ASSERT_EQ(near_side->id(), b.station_id());
+  ASSERT_EQ(far_side->id(), a.station_id());
+
+  // Four full fragments plus a short last one whose body is not a multiple of
+  // the CRC's 16-byte block, so it ends in the byte-at-a-time tail.
+  Bytes payload(6003);
+  for (size_t i = 0; i < payload.size(); i++) {
+    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  bool word_flipped = false;
+  bool tail_flipped = false;
+  near_side->SetReceiveHandler([&](const Frame& frame) {
+    Frame copy = frame;  // Send restamps the source as the relay's station
+    size_t body = frame.body.size();
+    // Flip inside a full fragment's 16-byte block loop, or on the last byte
+    // of the short fragment (its byte tail) — each once, first transmission.
+    size_t flip = body;
+    if (!word_flipped && body > 1000) {
+      flip = 100;
+      word_flipped = true;
+    } else if (!tail_flipped && body > 0 && body < 1000) {
+      EXPECT_NE(body % 16, 0u);
+      flip = body - 1;
+      tail_flipped = true;
+    }
+    if (flip < body) {
+      // Never mutate the sender's retransmit buffer: flip a private copy.
+      Bytes flat = frame.body.ToBytes();
+      flat[flip] ^= 0x10;
+      copy.body = SharedBytes(std::move(flat));
+    }
+    far_side->Send(std::move(copy));
+  });
+  far_side->SetReceiveHandler(
+      [&](const Frame& frame) { near_side->Send(frame); });
+
+  int delivered = 0;
+  Bytes received;
+  b.SetHandler([&](StationId src, BytesView message) {
+    EXPECT_EQ(src, a.station_id());
+    delivered++;
+    received = message.ToBytes();
+  });
+  a.SendReliable(b.station_id(), payload);
+  sim.Run();
+
+  EXPECT_TRUE(word_flipped);
+  EXPECT_TRUE(tail_flipped);
+  EXPECT_GT(a.stats().fragments_sent, 4u);
+  EXPECT_EQ(b.stats().frames_corrupt_dropped, 2u);
+  EXPECT_GE(a.stats().retransmits, 1u);  // one round resends every lost fragment
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(b.stats().messages_delivered, 1u);
+  EXPECT_EQ(received, payload);
+}
+
 }  // namespace
 }  // namespace eden
