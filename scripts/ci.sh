@@ -74,13 +74,17 @@
 #      speedup is NOT gated: it depends on host core count (a 1-core CI box
 #      legitimately measures ~1x). The determinism gate is the ctest suite.
 #  11. Headline-benchmark oracle smoke: run perfbench/run.py for half a
-#      second of bulk_sharded (2-6 KiB multi-fragment payloads on the sharded
-#      engine) and of ring_small (128 B payloads on the CSMA wire), and fail
-#      unless the result line reads "correct": true with "failed": 0. Its
-#      oracles check every payload's content and exactly-once delivery end to
+#      second of each workload — bulk_sharded (2-6 KiB multi-fragment
+#      payloads on the sharded engine), ring_small (128 B payloads on the
+#      CSMA wire) and zipf_mixed (leases, moves and invocation timeouts: the
+#      heaviest event-cancel traffic) — and fail unless each result line
+#      reads "correct": true with "failed": 0. Its oracles check every
+#      payload's content, exactly-once execution and no stale read end to
 #      end, so a change to the per-byte path (checksum, fragmentation,
-#      reassembly) that damages payloads fails here even when every digest
-#      suite still agrees with itself. The benchmark builds into .bench_build/.
+#      reassembly) that damages payloads, or an event queue that runs a
+#      cancelled event or drops a live one, fails here even when every
+#      digest suite still agrees with itself. The benchmark builds into
+#      .bench_build/.
 #
 #   scripts/ci.sh [jobs]
 set -eu
@@ -169,7 +173,7 @@ echo "== sharded engine smoke (shard sweep, quick) =="
   --json="$repo_root/build/BENCH_bench_throughput_smoke.json"
 
 echo "== headline benchmark oracle smoke (payload content end to end) =="
-for workload in bulk_sharded ring_small; do
+for workload in bulk_sharded ring_small zipf_mixed; do
   python3 "$repo_root/perfbench/run.py" --workload "$workload" --seed 1 \
     --seconds 0.5 --trace 0 > "$repo_root/build/perfbench_$workload.txt"
   tail -n 1 "$repo_root/build/perfbench_$workload.txt" | python3 -c '

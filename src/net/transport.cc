@@ -1,6 +1,7 @@
 #include "src/net/transport.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "src/common/log.h"
@@ -75,7 +76,7 @@ void Transport::set_metrics(MetricsRegistry* registry) {
 uint64_t Transport::SendReliable(StationId dst, Bytes message,
                                  const SpanContext& parent) {
   assert(dst != kBroadcastStation && "reliable broadcast is not supported");
-  uint64_t msg_id = next_msg_id_++;
+  uint64_t msg_id = NextMsgId();
   PendingSend pending;
   pending.dst = dst;
   pending.msg_id = msg_id;
@@ -98,7 +99,7 @@ uint64_t Transport::SendReliable(StationId dst, Bytes message,
 void Transport::SendBestEffort(StationId dst, Bytes message) {
   PendingSend once;
   once.dst = dst;
-  once.msg_id = next_msg_id_++;
+  once.msg_id = NextMsgId();
   once.message = SharedBytes(std::move(message));
   once.reliable = false;
   stats_.messages_sent++;
@@ -497,22 +498,111 @@ void Transport::ArmReassemblySweep() {
 // Duplicate suppression
 // ---------------------------------------------------------------------------
 
-bool Transport::AlreadyDelivered(StationId src, uint64_t msg_id) const {
-  auto it = history_.find(src);
-  if (it == history_.end()) {
-    return false;
+uint64_t Transport::NextMsgId() {
+  uint64_t id = next_msg_id_++;
+  if (next_msg_id_ == 0) {
+    next_msg_id_ = 1;  // 0 marks an empty dedup-table slot at the receiver
   }
-  return it->second.delivered.count(msg_id) > 0;
+  return id;
+}
+
+bool Transport::AlreadyDelivered(StationId src, uint64_t msg_id) const {
+  return src < history_.size() && history_[src].Contains(msg_id);
 }
 
 void Transport::RecordDelivered(StationId src, uint64_t msg_id) {
-  PeerHistory& peer = history_[src];
-  peer.delivered.insert(msg_id);
-  peer.order.push_back(msg_id);
-  while (peer.order.size() > config_.dedup_window) {
-    peer.delivered.erase(peer.order.front());
-    peer.order.pop_front();
+  if (src >= history_.size()) {
+    history_.resize(static_cast<size_t>(src) + 1);
   }
+  history_[src].Record(msg_id, config_.dedup_window);
+}
+
+size_t Transport::PeerHistory::Home(uint64_t id) const {
+  // Fibonacci hashing: a peer's ids are increasing, often consecutive
+  // integers, which the low bits would pile into one long probe run; the
+  // product's top bits spread them across the table.
+  return static_cast<size_t>((id * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+bool Transport::PeerHistory::Contains(uint64_t id) const {
+  if (count == 0) {
+    return false;
+  }
+  const size_t mask = table.size() - 1;
+  for (size_t i = Home(id); table[i] != 0; i = (i + 1) & mask) {
+    if (table[i] == id) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Transport::PeerHistory::Insert(uint64_t id) {
+  if (2 * (count + 1) > table.size()) {
+    Grow();
+  }
+  const size_t mask = table.size() - 1;
+  size_t i = Home(id);
+  while (table[i] != 0) {
+    i = (i + 1) & mask;
+  }
+  table[i] = id;
+  count++;
+}
+
+void Transport::PeerHistory::Erase(uint64_t id) {
+  const size_t mask = table.size() - 1;
+  size_t hole = Home(id);
+  while (table[hole] != id) {
+    if (table[hole] == 0) {
+      assert(false && "evicted id missing from the dedup table");
+      return;
+    }
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: pull later members of the probe run into the hole
+  // unless that would move one in front of its own home slot.
+  for (size_t next = (hole + 1) & mask; table[next] != 0;
+       next = (next + 1) & mask) {
+    size_t home = Home(table[next]);
+    // `next` may fill the hole iff its home is not in (hole, next].
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table[hole] = table[next];
+      hole = next;
+    }
+  }
+  table[hole] = 0;
+  count--;
+}
+
+void Transport::PeerHistory::Grow() {
+  std::vector<uint64_t> old = std::move(table);
+  table.assign(old.empty() ? 16 : 2 * old.size(), 0);
+  shift = 64 - std::countr_zero(table.size());
+  count = 0;
+  for (uint64_t id : old) {
+    if (id != 0) {
+      Insert(id);
+    }
+  }
+}
+
+void Transport::PeerHistory::Record(uint64_t id, size_t window) {
+  // Callers check AlreadyDelivered first, so ids in the window are distinct
+  // and the table holds exactly the ring's ids.
+  assert(id != 0 && "message ids are never 0");
+  assert(!Contains(id));
+  if (window == 0) {
+    return;  // a zero window remembers nothing
+  }
+  if (ring.size() < window) {
+    ring.push_back(id);
+  } else {
+    Erase(ring[oldest]);
+    ring[oldest] = id;
+    oldest = oldest + 1 == window ? 0 : oldest + 1;
+  }
+  Insert(id);
 }
 
 void Transport::Reset() {

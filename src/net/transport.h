@@ -21,16 +21,17 @@
 //     frame to that peer, or batched into one ACK frame after ack_delay.
 //   * One retransmit timer per transport (a deadline min-heap), not one
 //     simulation event per in-flight message.
+//   * Flat duplicate suppression: per peer, a ring of the last dedup_window
+//     delivered ids beside an open-addressing set of the same ids, in a
+//     vector indexed by the dense StationId — no per-id node allocation.
 #ifndef EDEN_SRC_NET_TRANSPORT_H_
 #define EDEN_SRC_NET_TRANSPORT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -165,9 +166,30 @@ class Transport {
     SimTime last_progress = 0;
   };
 
+  // Duplicate-suppression memory for one peer: exactly the last
+  // dedup_window message ids delivered from it. `ring` is their FIFO: it
+  // grows by push_back up to the window, then wraps, `oldest` marking the
+  // entry the next delivery evicts. `table` is a set of the same ids with
+  // open addressing — multiplicative hash, linear probing, backward-shift
+  // deletion, so no tombstones — where 0 marks an empty slot (message ids
+  // are never 0). The table starts small and doubles at load 1/2, so a
+  // peer that delivered a few messages costs a few cache lines.
   struct PeerHistory {
-    std::unordered_set<uint64_t> delivered;
-    std::deque<uint64_t> order;
+    std::vector<uint64_t> ring;
+    size_t oldest = 0;
+    std::vector<uint64_t> table;  // power-of-two size, or empty
+    size_t count = 0;             // ids in `table`
+    int shift = 64;               // 64 - log2(table.size())
+
+    bool Contains(uint64_t id) const;
+    // Appends `id` to the window, evicting the oldest id once it is full.
+    void Record(uint64_t id, size_t window);
+
+   private:
+    size_t Home(uint64_t id) const;
+    void Insert(uint64_t id);
+    void Erase(uint64_t id);
+    void Grow();
   };
 
   struct TransportCounters {
@@ -208,6 +230,7 @@ class Transport {
   void RecordDelivered(StationId src, uint64_t msg_id);
   bool AlreadyDelivered(StationId src, uint64_t msg_id) const;
   void DeliverFastPath(const Frame& frame, uint64_t msg_id, bool reliable);
+  uint64_t NextMsgId();
 
   Simulation& sim_;
   Lan& lan_;
@@ -239,7 +262,8 @@ class Transport {
   std::map<std::pair<StationId, uint64_t>, Reassembly> reassembly_;
   EventId sweep_timer_ = kInvalidEventId;
 
-  std::unordered_map<StationId, PeerHistory> history_;
+  // Indexed by the sending peer's StationId; grown on first delivery.
+  std::vector<PeerHistory> history_;
 };
 
 }  // namespace eden

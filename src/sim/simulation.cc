@@ -1,5 +1,6 @@
 #include "src/sim/simulation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -30,13 +31,14 @@ uint32_t Simulation::AllocSlot() {
     return index;
   }
   slots_.emplace_back();
+  heap_pos_.push_back(kNoSlot);
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
 void Simulation::ReleaseSlot(uint32_t index) {
   Slot& slot = slots_[index];
-  slot.generation++;  // invalidates every outstanding id/queue entry
-  slot.armed = false;
+  slot.generation++;  // invalidates every outstanding id of this slot
+  heap_pos_[index] = kNoSlot;
   slot.next_free = free_head_;
   free_head_ = index;
 }
@@ -64,15 +66,74 @@ EventId Simulation::ScheduleAtKeyed(SimTime when, uint32_t domain,
   return Push(when, domain, stream, seq, std::move(fn));
 }
 
+// ---------------------------------------------------------------------------
+// Indexed 4-ary heap. Sifts move a hole rather than swapping, and every
+// entry that lands somewhere records its position in heap_pos_.
+// ---------------------------------------------------------------------------
+
+void Simulation::Place(size_t pos, const QueueEntry& entry) {
+  heap_[pos] = entry;
+  heap_pos_[entry.slot] = static_cast<uint32_t>(pos);
+}
+
+void Simulation::SiftUp(size_t pos, QueueEntry entry) {
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 4;
+    if (!Before(entry, heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, entry);
+}
+
+void Simulation::SiftDown(size_t pos, QueueEntry entry) {
+  const size_t size = heap_.size();
+  for (;;) {
+    size_t first = 4 * pos + 1;
+    if (first >= size) {
+      break;
+    }
+    size_t last = std::min(first + 4, size);
+    size_t best = first;
+    for (size_t child = first + 1; child < last; child++) {
+      if (Before(heap_[child], heap_[best])) {
+        best = child;
+      }
+    }
+    if (!Before(heap_[best], entry)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, entry);
+}
+
+void Simulation::RemoveAt(size_t pos) {
+  QueueEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;  // the removed entry was the last one
+  }
+  if (pos > 0 && Before(last, heap_[(pos - 1) / 4])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
+}
+
 EventId Simulation::Push(SimTime when, uint32_t domain, uint32_t stream,
                          uint64_t seq, EventFn fn) {
   assert(when >= now_ && "cannot schedule into the past");
   uint32_t index = AllocSlot();
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
-  slot.armed = true;
-  queue_.push(QueueEntry{when, seq, domain, stream, index, slot.generation});
-  live_count_++;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1,
+         QueueEntry{when, (static_cast<uint64_t>(domain) << 32) | stream, seq,
+                    index});
   return MakeId(slot.generation, index);
 }
 
@@ -83,16 +144,19 @@ void Simulation::Cancel(EventId id) {
     return;
   }
   Slot& slot = slots_[index];
-  if (slot.generation != generation || !slot.armed) {
+  if (slot.generation != generation || heap_pos_[index] == kNoSlot) {
     return;  // already fired, already cancelled, or never existed
   }
-  slot.fn.Reset();  // release captures now, not when the entry surfaces
-  live_count_--;
+  RemoveAt(heap_pos_[index]);
+  slot.fn.Reset();  // release captures now
   ReleaseSlot(index);
 }
 
-void Simulation::Execute(const QueueEntry& top) {
-  Slot& slot = slots_[top.slot];
+void Simulation::ExecuteTop() {
+  const QueueEntry top = heap_.front();
+  RemoveAt(0);
+  assert((heap_.empty() || Before(top, heap_.front())) &&
+         "event heap out of order");
   assert(top.when >= now_);
   now_ = top.when;
   // Fingerprint the execution order. Two runs with equal seeds must pop an
@@ -102,32 +166,25 @@ void Simulation::Execute(const QueueEntry& top) {
   // additionally mix their (domain, stream) so distinct streams cannot alias.
   trace_.Mix(static_cast<uint64_t>(top.when));
   trace_.Mix(top.seq);
-  if ((top.domain | top.stream) != 0) {
-    trace_.Mix((static_cast<uint64_t>(top.domain) << 32) | top.stream);
+  if (top.key != 0) {
+    trace_.Mix(top.key);
   }
   events_executed_++;
-  live_count_--;
   // Free the slot before invoking so the callback can schedule into it;
   // the generation bump keeps this entry's id from resurrecting.
-  EventFn fn = std::move(slot.fn);
+  EventFn fn = std::move(slots_[top.slot].fn);
   ReleaseSlot(top.slot);
-  current_domain_ = top.domain;
+  current_domain_ = static_cast<uint32_t>(top.key >> 32);
   fn();
   current_domain_ = 0;
 }
 
 bool Simulation::Step() {
-  while (!queue_.empty()) {
-    QueueEntry top = queue_.top();
-    queue_.pop();
-    Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      continue;  // cancelled: its slot was already recycled
-    }
-    Execute(top);
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  ExecuteTop();
+  return true;
 }
 
 void Simulation::Run(uint64_t max_events) {
@@ -139,17 +196,8 @@ void Simulation::Run(uint64_t max_events) {
 }
 
 void Simulation::RunUntil(SimTime deadline) {
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      queue_.pop();  // drop stale entries without advancing the clock
-      continue;
-    }
-    if (top.when > deadline) {
-      break;
-    }
-    Step();
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    ExecuteTop();
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -157,31 +205,9 @@ void Simulation::RunUntil(SimTime deadline) {
 }
 
 void Simulation::RunEventsBefore(SimTime bound) {
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      queue_.pop();
-      continue;
-    }
-    if (top.when >= bound) {
-      break;
-    }
-    Step();
+  while (!heap_.empty() && heap_.front().when < bound) {
+    ExecuteTop();
   }
-}
-
-SimTime Simulation::PeekNextEventTime() {
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      queue_.pop();
-      continue;
-    }
-    return top.when;
-  }
-  return kSimTimeNever;
 }
 
 bool Simulation::RunWhile(const std::function<bool()>& pending) {

@@ -8,10 +8,12 @@
 //
 // The event queue is allocation-free on the steady-state path: callbacks
 // live in a free-list pool of generation-tagged slots (EventId = generation
-// + slot index), so Schedule and Cancel are O(1) bookkeeping plus one
-// priority-queue push, with no per-event node allocation and no tombstone
-// map. Cancelled events are skipped lazily when they surface at the top of
-// the heap, exactly as the old tombstone table did.
+// + slot index), and the queue itself is an indexed 4-ary min-heap of small
+// POD entries. A dense side array maps each slot to its entry's heap
+// position, so Cancel removes the entry at once (the last entry fills the
+// hole and sifts up or down): the heap only ever holds live events, with
+// no tombstones and no stale entries to skip. Schedule and Cancel are
+// O(log4 n), with no per-event node allocation.
 //
 // Same-timestamp ordering is governed by a canonical key (domain, stream,
 // seq) rather than a single global sequence number, so the order is a pure
@@ -31,9 +33,9 @@
 #ifndef EDEN_SRC_SIM_SIMULATION_H_
 #define EDEN_SRC_SIM_SIMULATION_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -73,9 +75,10 @@ class Simulation {
   EventId ScheduleAtKeyed(SimTime when, uint32_t domain, uint32_t stream,
                           uint64_t seq, EventFn fn);
 
-  // Cancels a pending event in O(1). Cancelling an already-fired or unknown
-  // id is a no-op (the common race: a timeout firing at the same instant the
-  // reply lands).
+  // Cancels a pending event: its heap entry is removed and its callback
+  // destroyed at once. Cancelling an already-fired or unknown id is a no-op
+  // (the common race: a timeout firing at the same instant the reply
+  // lands).
   void Cancel(EventId id);
 
   // Runs a single event. Returns false if the queue is empty.
@@ -101,13 +104,14 @@ class Simulation {
   // ingest cross-shard deliveries inside this one).
   void RunEventsBefore(SimTime bound);
 
-  // Timestamp of the next live event, or kSimTimeNever if the queue is
-  // empty. Pops stale (cancelled) heap entries as a side effect.
-  SimTime PeekNextEventTime();
+  // Timestamp of the next event, or kSimTimeNever if the queue is empty.
+  SimTime PeekNextEventTime() const {
+    return heap_.empty() ? kSimTimeNever : heap_.front().when;
+  }
 
   uint64_t events_executed() const { return events_executed_; }
   // Live (scheduled, not cancelled, not fired) events.
-  size_t pending_events() const { return live_count_; }
+  size_t pending_events() const { return heap_.size(); }
 
   // Trace digest: Step() mixes every executed event's (when, seq) — plus the
   // order key for keyed events — into this, and components may Mix()
@@ -119,37 +123,39 @@ class Simulation {
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
   // Callback storage, recycled through a free list. A slot's generation
-  // bumps every time it is released, so a stale heap entry (cancelled or
-  // superseded event) is recognized and skipped when popped.
+  // bumps every time it is released, so an id of a fired or cancelled event
+  // no longer matches and Cancel ignores it.
   struct Slot {
     uint32_t generation = 1;
-    bool armed = false;
     uint32_t next_free = kNoSlot;
     EventFn fn;
   };
 
-  // What actually sits in the priority queue: 32 bytes, no callable.
+  // What actually sits in the heap: 32 bytes, no callable. The canonical
+  // order is (when, domain, stream, seq), with (domain, stream) packed into
+  // one word.
   struct QueueEntry {
     SimTime when;
+    uint64_t key;  // domain << 32 | stream
     uint64_t seq;  // FIFO tiebreak within (when, domain, stream)
-    uint32_t domain;
-    uint32_t stream;
     uint32_t slot;
-    uint32_t generation;
-
-    bool operator>(const QueueEntry& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      if (domain != other.domain) {
-        return domain > other.domain;
-      }
-      if (stream != other.stream) {
-        return stream > other.stream;
-      }
-      return seq > other.seq;
-    }
   };
+
+  // Strict canonical order. Keys are unique by construction (unkeyed events
+  // draw a per-domain counter on stream 0; keyed callers use streams >= 1 or
+  // a domain of their own), so heap arity cannot change the pop order; an
+  // equal pair means a key collision and fails loudly in checked builds.
+  static bool Before(const QueueEntry& a, const QueueEntry& b) {
+    assert((a.when != b.when || a.key != b.key || a.seq != b.seq) &&
+           "two queued events share one order key");
+    if (a.when != b.when) {
+      return a.when < b.when;
+    }
+    if (a.key != b.key) {
+      return a.key < b.key;
+    }
+    return a.seq < b.seq;
+  }
 
   static EventId MakeId(uint32_t generation, uint32_t slot) {
     return (static_cast<uint64_t>(generation) << 32) | slot;
@@ -160,20 +166,28 @@ class Simulation {
   uint64_t NextDomainSeq(uint32_t domain);
   EventId Push(SimTime when, uint32_t domain, uint32_t stream, uint64_t seq,
                EventFn fn);
-  void Execute(const QueueEntry& top);
+  void Place(size_t pos, const QueueEntry& entry);
+  void SiftUp(size_t pos, QueueEntry entry);
+  void SiftDown(size_t pos, QueueEntry entry);
+  void RemoveAt(size_t pos);
+  // Pops the heap's top entry and runs it.
+  void ExecuteTop();
 
   SimTime now_ = 0;
   uint64_t events_executed_ = 0;
-  size_t live_count_ = 0;
   // Domain the currently-executing event belongs to; inherited by events it
   // schedules without an explicit key. 0 between events.
   uint32_t current_domain_ = 0;
   // Per-domain FIFO counters; index 0 is the legacy global counter.
   std::vector<uint64_t> domain_seq_;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue_;
+  // 4-ary min-heap under Before(): children of i are 4i+1 .. 4i+4.
+  std::vector<QueueEntry> heap_;
   std::vector<Slot> slots_;
+  // heap_pos_[slot]: index of the slot's heap entry, kNoSlot while the
+  // slot is free. Kept apart from the callback-sized Slots because every
+  // sift step rewrites one, and a dense array of 4-byte positions stays in
+  // cache.
+  std::vector<uint32_t> heap_pos_;
   uint32_t free_head_ = kNoSlot;
   Rng rng_;
   Digest trace_;

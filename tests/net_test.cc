@@ -328,6 +328,152 @@ TEST_F(TransportFixture, ResetDropsPendingState) {
   EXPECT_EQ(a.stats().send_failures, 0u);
 }
 
+// --- Duplicate-suppression window --------------------------------------------
+
+// Drops every frame addressed to one station while `active` is set. Aimed
+// at a pure sender, it loses exactly the ACKs its receivers send back.
+class DropFramesTo : public WireFaultHook {
+ public:
+  explicit DropFramesTo(StationId dst) : dst_(dst) {}
+  Decision OnDeliver(StationId, StationId dst, size_t) override {
+    Decision decision;
+    decision.drop = active && dst == dst_;
+    return decision;
+  }
+  bool active = false;
+
+ private:
+  StationId dst_;
+};
+
+struct WindowProbe {
+  int delivered = 0;
+  uint64_t duplicates_suppressed = 0;
+};
+
+// a sends m0, whose ACK is lost, then `newer` messages that b delivers and
+// ACKs before m0's retransmit deadline; optionally b then resets. m0's one
+// retransmission reaches b, which suppresses it if m0 is still among its
+// last `window` delivered ids and delivers it again otherwise. Either way b
+// ACKs it — the only ACK for m0 that can reach a — so a ends with nothing
+// pending and nothing failed.
+WindowProbe ProbeDedupWindow(size_t window, int newer, bool reset) {
+  Simulation sim;
+  Lan lan(sim);
+  TransportConfig config;
+  config.dedup_window = window;
+  Transport a(sim, lan, config), b(sim, lan, config);
+  DropFramesTo ack_loss(a.station_id());
+  lan.set_fault_hook(&ack_loss);
+  WindowProbe probe;
+  b.SetHandler([&](StationId, BytesView) { probe.delivered++; });
+
+  ack_loss.active = true;
+  a.SendReliable(b.station_id(), ToBytes("m0"));
+  sim.RunFor(Milliseconds(2));
+  ack_loss.active = false;
+  for (int i = 1; i <= newer; i++) {
+    a.SendReliable(b.station_id(), ToBytes("m" + std::to_string(i)));
+  }
+  sim.RunFor(Milliseconds(5));
+  EXPECT_EQ(probe.delivered, 1 + newer);
+  EXPECT_EQ(a.pending_reliable_sends(), 1u);  // only m0 awaits its ACK
+  EXPECT_EQ(a.stats().retransmits, 0u);
+  if (reset) {
+    b.Reset();
+  }
+  sim.Run();
+  EXPECT_EQ(a.stats().retransmits, 1u);
+  EXPECT_EQ(a.pending_reliable_sends(), 0u);
+  EXPECT_EQ(a.stats().send_failures, 0u);
+  probe.duplicates_suppressed = b.stats().duplicates_suppressed;
+  return probe;
+}
+
+TEST(TransportDedupTest, CopyOfEachOfTheLastWindowIdsIsSuppressedAndReAcked) {
+  // m0 is the (newer + 1)-th most recent id when its copy arrives.
+  for (int newer = 0; newer < 4; newer++) {
+    SCOPED_TRACE("newer=" + std::to_string(newer));
+    WindowProbe probe = ProbeDedupWindow(4, newer, /*reset=*/false);
+    EXPECT_EQ(probe.delivered, 1 + newer);
+    EXPECT_EQ(probe.duplicates_suppressed, 1u);
+  }
+}
+
+TEST(TransportDedupTest, IdOlderThanTheWindowIsForgotten) {
+  // The window is exactly the last dedup_window ids: a fifth newer delivery
+  // pushes m0 out, and its late copy is delivered again.
+  WindowProbe probe = ProbeDedupWindow(4, 4, /*reset=*/false);
+  EXPECT_EQ(probe.delivered, 6);
+  EXPECT_EQ(probe.duplicates_suppressed, 0u);
+}
+
+TEST(TransportDedupTest, ResetForgetsTheHistory) {
+  WindowProbe probe = ProbeDedupWindow(4, 0, /*reset=*/true);
+  EXPECT_EQ(probe.delivered, 2);
+  EXPECT_EQ(probe.duplicates_suppressed, 0u);
+}
+
+TEST(TransportDedupTest, WindowOfOneRemembersOnlyTheLatestId) {
+  WindowProbe latest = ProbeDedupWindow(1, 0, /*reset=*/false);
+  EXPECT_EQ(latest.delivered, 1);
+  EXPECT_EQ(latest.duplicates_suppressed, 1u);
+  WindowProbe older = ProbeDedupWindow(1, 1, /*reset=*/false);
+  EXPECT_EQ(older.delivered, 3);
+  EXPECT_EQ(older.duplicates_suppressed, 0u);
+}
+
+TEST(TransportDedupTest, WindowOfZeroSuppressesNothing) {
+  WindowProbe probe = ProbeDedupWindow(0, 0, /*reset=*/false);
+  EXPECT_EQ(probe.delivered, 2);
+  EXPECT_EQ(probe.duplicates_suppressed, 0u);
+}
+
+TEST(TransportDedupTest, NoIdInsideTheWindowIsLostAcrossManyEvictions) {
+  // 120 rounds of a full window each: 6,000 deliveries through b's history
+  // of a, so the ring wraps 120 times and every delivery past the first
+  // window evicts (and backward-shift deletes) an id. Sends to a second
+  // receiver are interleaved at random, so the ids b sees from a have
+  // irregular gaps and collide in b's set the way real traffic does. Each
+  // round loses the ACKs until every one of the window's ids has been
+  // retransmitted, so a single id missing from the set would be delivered
+  // twice.
+  constexpr size_t kWindow = 50;
+  Simulation sim;
+  Lan lan(sim);
+  TransportConfig config;
+  config.dedup_window = kWindow;
+  Transport a(sim, lan, config), b(sim, lan, config), c(sim, lan);
+  DropFramesTo ack_loss(a.station_id());
+  lan.set_fault_hook(&ack_loss);
+  uint64_t delivered = 0;
+  b.SetHandler([&](StationId, BytesView) { delivered++; });
+  uint64_t to_c = 0;
+  uint64_t c_delivered = 0;
+  c.SetHandler([&](StationId, BytesView) { c_delivered++; });
+  Rng gaps(7);
+  for (uint64_t round = 1; round <= 120; round++) {
+    uint64_t duplicates_before = b.stats().duplicates_suppressed;
+    ack_loss.active = true;
+    for (size_t i = 0; i < kWindow; i++) {
+      for (uint64_t skip = gaps.NextBelow(4); skip > 0; skip--) {
+        a.SendReliable(c.station_id(), ToBytes("gap"));
+        to_c++;
+      }
+      a.SendReliable(b.station_id(), ToBytes("r" + std::to_string(round)));
+    }
+    sim.RunFor(Milliseconds(45));  // past the first retransmit round
+    EXPECT_EQ(delivered, round * kWindow);
+    EXPECT_GE(b.stats().duplicates_suppressed - duplicates_before, kWindow);
+    ack_loss.active = false;
+    sim.Run();  // the next round's copies are suppressed and re-ACKed
+    ASSERT_EQ(delivered, round * kWindow) << "round " << round;
+    ASSERT_EQ(a.pending_reliable_sends(), 0u);
+  }
+  EXPECT_EQ(c_delivered, to_c);
+  EXPECT_EQ(a.stats().send_failures, 0u);
+}
+
 // --- Frame checksums vs. wire corruption (chaos hook) ------------------------
 
 // Scripted fault hook: corrupts the next `n` deliveries, passes the rest.

@@ -2,6 +2,10 @@
 // cancellation, RNG determinism, and the coroutine task/future layer.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -75,6 +79,226 @@ TEST(SimulationTest, EventsCanScheduleMoreEvents) {
   sim.Run();
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(sim.now(), Milliseconds(9));
+}
+
+// Drives a Simulation and a reference queue — a std::map ordered by the
+// canonical (when, domain, stream, seq) key — through the same operations,
+// and records the first point where they disagree: an event firing out of
+// order, a cancelled event firing, a live one lost, or pending_events() and
+// PeekNextEventTime() drifting from the reference.
+class EventQueueDifferential {
+ public:
+  explicit EventQueueDifferential(uint64_t seed) : rng_(seed) {}
+
+  Simulation& sim() { return sim_; }
+  Rng& rng() { return rng_; }
+  size_t scheduled() const { return events_.size(); }
+  size_t fired() const { return fired_; }
+  size_t cancelled() const { return cancelled_; }
+  const std::string& first_error() const { return first_error_; }
+
+  // Unkeyed: inherits the executing event's domain (0 at top level) and
+  // draws that domain's next FIFO number, exactly as the simulation does.
+  size_t ScheduleUnkeyed(SimDuration delay) {
+    uint64_t& next = domain_seq_.try_emplace(current_domain_, 1).first->second;
+    size_t label = Add(Key{sim_.now() + delay, current_domain_, 0, next++});
+    events_[label].id = sim_.Schedule(delay, [this, label] { Fire(label); });
+    Check();
+    return label;
+  }
+
+  size_t ScheduleKeyed(SimTime when, uint32_t domain, uint32_t stream) {
+    uint64_t seq = ++stream_seq_[{domain, stream}];
+    size_t label = Add(Key{when, domain, stream, seq});
+    events_[label].id = sim_.ScheduleAtKeyed(when, domain, stream, seq,
+                                             [this, label] { Fire(label); });
+    Check();
+    return label;
+  }
+
+  // Cancels `label` whatever its state: live, fired, already cancelled, or
+  // holding a slot that has since been recycled for a newer event.
+  void Cancel(size_t label) {
+    Event& event = events_[label];
+    sim_.Cancel(event.id);
+    if (event.live) {
+      event.live = false;
+      reference_.erase(event.key);
+      cancelled_++;
+    }
+    Check();
+  }
+
+  // The event that must fire next, or -1 when the reference is empty.
+  long Top() const {
+    return reference_.empty() ? -1
+                              : static_cast<long>(reference_.begin()->second);
+  }
+
+  // When `label` fires, it cancels `sibling` (if still pending).
+  void SetSibling(size_t label, size_t sibling) {
+    events_[label].sibling = static_cast<long>(sibling);
+  }
+
+  void Check() {
+    if (sim_.pending_events() != reference_.size()) {
+      Fail("pending_events " + std::to_string(sim_.pending_events()) +
+           " != reference " + std::to_string(reference_.size()));
+    }
+    SimTime expected =
+        reference_.empty() ? kSimTimeNever : reference_.begin()->first.when;
+    if (sim_.PeekNextEventTime() != expected) {
+      Fail("PeekNextEventTime " + std::to_string(sim_.PeekNextEventTime()) +
+           " != reference " + std::to_string(expected));
+    }
+  }
+
+ private:
+  struct Key {
+    SimTime when;
+    uint32_t domain;
+    uint32_t stream;
+    uint64_t seq;
+    bool operator<(const Key& other) const {
+      return std::tie(when, domain, stream, seq) <
+             std::tie(other.when, other.domain, other.stream, other.seq);
+    }
+  };
+  struct Event {
+    Key key;
+    EventId id = kInvalidEventId;
+    bool live = true;
+    long sibling = -1;
+  };
+
+  size_t Add(const Key& key) {
+    size_t label = events_.size();
+    events_.push_back(Event{key});
+    reference_.emplace(key, label);
+    return label;
+  }
+
+  void Fire(size_t label) {
+    Event& event = events_[label];
+    if (!event.live) {
+      Fail("event " + std::to_string(label) + " fired after cancel");
+      return;
+    }
+    if (Top() != static_cast<long>(label)) {
+      Fail("event " + std::to_string(label) + " fired while " +
+           std::to_string(Top()) + " was due");
+    }
+    if (sim_.now() != event.key.when) {
+      Fail("event " + std::to_string(label) + " fired at the wrong time");
+    }
+    event.live = false;
+    reference_.erase(event.key);
+    fired_++;
+    Check();
+    current_domain_ = event.key.domain;
+    if (event.sibling >= 0) {
+      Cancel(static_cast<size_t>(event.sibling));
+    }
+    if (rng_.NextBelow(4) == 0) {
+      ScheduleUnkeyed(static_cast<SimDuration>(rng_.NextBelow(3)));
+    }
+    current_domain_ = 0;
+  }
+
+  void Fail(const std::string& what) {
+    if (first_error_.empty()) {
+      first_error_ = what;
+    }
+  }
+
+  Simulation sim_;
+  Rng rng_;
+  std::vector<Event> events_;
+  std::map<Key, size_t> reference_;
+  std::map<uint32_t, uint64_t> domain_seq_;
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> stream_seq_;
+  uint32_t current_domain_ = 0;
+  size_t fired_ = 0;
+  size_t cancelled_ = 0;
+  std::string first_error_;
+};
+
+TEST(SimulationTest, EventQueueMatchesReferenceUnderRandomScheduleAndCancel) {
+  EventQueueDifferential model(20261019);
+  Simulation& sim = model.sim();
+  Rng& rng = model.rng();
+  // Delays of a few ns against a clock that creeps forward make same-instant
+  // ties the common case, so the (domain, stream, seq) order does the work.
+  auto delay = [&rng] { return static_cast<SimDuration>(rng.NextBelow(40)); };
+  for (int op = 0; op < 100000 && model.first_error().empty(); op++) {
+    switch (rng.NextBelow(12)) {
+      case 0:
+      case 1:
+      case 2:
+        model.ScheduleUnkeyed(delay());
+        break;
+      case 3:
+      case 4:
+        model.ScheduleKeyed(sim.now() + delay(),
+                            1 + static_cast<uint32_t>(rng.NextBelow(4)),
+                            1 + static_cast<uint32_t>(rng.NextBelow(3)));
+        break;
+      case 5: {
+        // A top-level (domain 0) event that cancels a keyed sibling due at
+        // the same instant, which orders after it.
+        SimDuration d = delay();
+        size_t first = model.ScheduleUnkeyed(d);
+        size_t sibling = model.ScheduleKeyed(
+            sim.now() + d, 1 + static_cast<uint32_t>(rng.NextBelow(4)),
+            1 + static_cast<uint32_t>(rng.NextBelow(3)));
+        model.SetSibling(first, sibling);
+        break;
+      }
+      case 6:
+        // Any id ever handed out: live, fired, cancelled, or with its slot
+        // recycled by a newer event.
+        if (model.scheduled() > 0) {
+          model.Cancel(static_cast<size_t>(rng.NextBelow(model.scheduled())));
+        }
+        break;
+      case 7:
+        if (model.Top() >= 0) {
+          model.Cancel(static_cast<size_t>(model.Top()));
+        }
+        break;
+      case 8:
+        // The newest entry, still at or near the heap's last position.
+        model.Cancel(model.ScheduleUnkeyed(delay()));
+        break;
+      case 9:
+        if (model.scheduled() > 0) {
+          model.Cancel(model.scheduled() - 1);
+        }
+        break;
+      case 10: {
+        uint64_t steps = 1 + rng.NextBelow(6);
+        for (uint64_t i = 0; i < steps; i++) {
+          sim.Step();
+        }
+        model.Check();
+        break;
+      }
+      default:
+        sim.RunUntil(sim.now() + static_cast<SimDuration>(rng.NextBelow(8)));
+        model.Check();
+        break;
+    }
+  }
+  sim.Run();
+  model.Check();
+  EXPECT_EQ(model.first_error(), "");
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.PeekNextEventTime(), kSimTimeNever);
+  EXPECT_EQ(model.fired() + model.cancelled(), model.scheduled());
+  EXPECT_EQ(sim.events_executed(), model.fired());
+  // The mix really exercised both outcomes at volume.
+  EXPECT_GT(model.fired(), 50000u);
+  EXPECT_GT(model.cancelled(), 10000u);
 }
 
 TEST(RngTest, SameSeedSameSequence) {
