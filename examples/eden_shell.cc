@@ -12,7 +12,8 @@
 //   checkpoint <name>               force a checkpoint
 //   fail <node> / restart <node>    node failure injection
 //   where <name>                    locate an object
-//   trace                           dump recent kernel events
+//   trace                           the slowest traces so far, each with its
+//                                   span tree and critical path
 //
 //   $ ./eden_shell
 #include <cstdio>
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "src/kernel/eden_system.h"
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 #include "src/types/standard_types.h"
 
 using namespace eden;
@@ -29,8 +30,8 @@ namespace {
 
 class EdenShell {
  public:
-  EdenShell(EdenSystem& system, TraceBuffer& trace)
-      : system_(system), trace_(trace) {
+  EdenShell(EdenSystem& system, SpanCollector& spans)
+      : system_(system), spans_(spans) {
     directory_ = *system_.node(0).CreateObject("std.directory", Representation{});
   }
 
@@ -78,7 +79,8 @@ class EdenShell {
       return Where(args[0]);
     }
     if (command == "trace") {
-      std::printf("%s", trace_.Summary().c_str());
+      spans_.Flush(system_.sim().now());
+      std::printf("%s", spans_.DumpSlowTraces().c_str());
       return OkStatus();
     }
     return InvalidArgumentError("unknown command or bad arity: " + command);
@@ -165,7 +167,7 @@ class EdenShell {
 
   EdenSystem& system_;
   Capability directory_;
-  TraceBuffer& trace_;
+  SpanCollector& spans_;
   size_t next_node_ = 1;
 };
 
@@ -173,13 +175,14 @@ class EdenShell {
 
 int main() {
   std::printf("=== eden_shell: scripted operator session ===\n\n");
+  SpanCollector spans;  // outlives the system it is attached to
   EdenSystem system;
   RegisterStandardTypes(system);
-  TraceBuffer trace;
+  system.set_span_collector(&spans);
   for (int i = 0; i < 5; i++) {
-    system.AddNode("node" + std::to_string(i)).WithTrace(&trace);
+    system.AddNode("node" + std::to_string(i));
   }
-  EdenShell shell(system, trace);
+  EdenShell shell(system, spans);
 
   const char* script[] = {
       "create hits std.counter",

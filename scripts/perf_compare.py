@@ -20,7 +20,7 @@ Typical use, from the repository root:
     scripts/perf_compare.py /tmp/before.json /tmp/after.json
 
 or `cmake --build build --target bench_compare` after dropping the two files
-at BENCH_baseline.json / BENCH_after.json in the repository root.
+at BENCH_baseline.json / BENCH_after.json in the build directory.
 """
 
 import argparse

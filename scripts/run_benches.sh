@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Runs every benchmark binary and collects the BENCH_<name>.json exports at
-# the repository root.
+# Runs every benchmark binary and collects the BENCH_<name>.json exports in
+# the build directory (the committed gate baselines live in bench/baselines/).
 #
 #   scripts/run_benches.sh [build-dir] [extra google-benchmark args...]
 #
@@ -24,7 +24,7 @@ for bin in "$build_dir"/bench/bench_*; do
   [ -x "$bin" ] || continue
   name=$(basename "$bin")
   echo "== $name =="
-  if ! "$bin" --json="$repo_root/BENCH_$name.json" "$@"; then
+  if ! "$bin" --json="$build_dir/BENCH_$name.json" "$@"; then
     echo "error: $name failed" >&2
     status=1
   fi
@@ -32,5 +32,5 @@ done
 
 echo
 echo "JSON exports:"
-ls -l "$repo_root"/BENCH_*.json
+ls -l "$build_dir"/BENCH_*.json
 exit $status

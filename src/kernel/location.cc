@@ -37,7 +37,6 @@ void BroadcastLocation::QueryRound(uint64_t query_id, const ObjectName& name,
   (void)attempt;
   (void)avoid;  // broadcast replies are filtered by the invokers themselves
   kernel_.counters_.locate_queries_broadcast->Increment();
-  kernel_.Trace(TraceEventKind::kLocateBroadcast, name, query_id);
   LocateRequestMsg msg;
   msg.query_id = query_id;
   msg.reply_to = kernel_.station();
@@ -173,10 +172,6 @@ bool DirectoryLocation::ApplyUpdate(const ObjectName& name,
   }
   partition_[name] = record;
   kernel_.counters_.directory_updates->Increment();
-  kernel_.Trace(TraceEventKind::kDirectoryUpdate, name, 0,
-                "host " + std::to_string(record.host) + " epoch " +
-                    std::to_string(record.epoch) +
-                    (record.active ? "" : " passive"));
   UpdateEntriesGauge();
   return true;
 }
@@ -194,7 +189,6 @@ void DirectoryLocation::ApplyRemoval(const ObjectName& name, uint64_t epoch) {
   }
   partition_.erase(it);
   kernel_.counters_.directory_updates->Increment();
-  kernel_.Trace(TraceEventKind::kDirectoryUpdate, name, 0, "removed");
   UpdateEntriesGauge();
 }
 
@@ -248,8 +242,6 @@ void DirectoryLocation::QueryRound(uint64_t query_id, const ObjectName& name,
   }
   if (query.fallback) {
     kernel_.counters_.locate_queries_broadcast->Increment();
-    kernel_.Trace(TraceEventKind::kLocateBroadcast, name, query_id,
-                  "fallback");
     LocateRequestMsg msg;
     msg.query_id = query_id;
     msg.reply_to = kernel_.station();
@@ -260,7 +252,6 @@ void DirectoryLocation::QueryRound(uint64_t query_id, const ObjectName& name,
   }
 
   kernel_.counters_.locate_queries_directory->Increment();
-  kernel_.Trace(TraceEventKind::kDirectoryLookup, name, query_id);
   query.round_span = kernel_.ChildSpan(locate_span, SpanKind::kDirectory, name,
                                        "directory lookup");
   std::vector<StationId> homes = HomesOf(name);

@@ -30,7 +30,6 @@
 #include "src/sim/rng.h"
 #include "src/storage/stable_store.h"
 #include "src/trace/span.h"
-#include "src/trace/trace.h"
 
 namespace eden {
 
@@ -121,11 +120,9 @@ struct KernelStats {
   uint64_t dispatches = 0;
   uint64_t rights_denied = 0;
   uint64_t queue_refusals = 0;
-  // Locate query rounds issued, by backend: locate_queries is the total
-  // (kernel.locate.queries.broadcast + kernel.locate.queries.directory);
-  // locate_broadcasts remains as the broadcast-tagged compat view.
+  // Locate query rounds issued, by either backend
+  // (kernel.locate.queries.broadcast + kernel.locate.queries.directory).
   uint64_t locate_queries = 0;
-  uint64_t locate_broadcasts = 0;
   uint64_t locate_cache_hits = 0;
   uint64_t directory_updates = 0;
   uint64_t directory_stale_forwards = 0;
@@ -260,10 +257,6 @@ class NodeKernel {
   std::shared_ptr<ActiveObject> FindActive(const ObjectName& name) const;
   size_t active_count() const { return active_.size(); }
 
-  // Attaches (or detaches, with nullptr) a trace buffer recording this
-  // kernel's events. The buffer must outlive the kernel or be detached first.
-  void set_trace(TraceBuffer* trace) { trace_ = trace; }
-
   // Attaches the shared causal-span collector (DESIGN.md §12) and propagates
   // it to the owned transport and store. Spans never schedule simulation
   // events or consume simulation randomness, so attaching a collector cannot
@@ -350,14 +343,6 @@ class NodeKernel {
     EventId timer = kInvalidEventId;
     SpanContext span;  // kMove span, open until ack / timeout
   };
-
-  void Trace(TraceEventKind kind, const ObjectName& object, uint64_t id,
-             std::string detail = {}) {
-    if (trace_ != nullptr) {
-      trace_->Record(TraceEvent{sim().now(), kind, station(), object, id,
-                                std::move(detail)});
-    }
-  }
 
   // --- Causal spans (DESIGN.md §12) ------------------------------------------
   // StartSpan opens a child of `parent`, or a new root trace when `parent` is
@@ -724,7 +709,6 @@ class NodeKernel {
   uint64_t next_request_id_ = 1;
   uint64_t next_transfer_id_ = 1;
 
-  TraceBuffer* trace_ = nullptr;
   SpanCollector* spans_ = nullptr;
 };
 

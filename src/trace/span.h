@@ -1,16 +1,18 @@
 // Causal spans: cross-node invocation tracing (DESIGN.md §12).
 //
-// TraceBuffer (trace.h) records flat per-node events; it cannot say where a
-// location-independent invocation spent its time once the kernel fans out
-// across locates, redirects, activations, checkpoint writes and retries on
-// several nodes. Spans fix that: every unit of kernel work is a Span with a
-// causal parent, identified by a SpanContext that rides inside the kernel's
-// wire messages, so work performed on a remote node links to the invocation
-// (or checkpoint, or move) that caused it. A SpanCollector shared by all node
-// kernels assembles the spans of one trace into a tree, attributes the
-// end-to-end latency to typed phases along the critical path, feeds
-// trace.phase.* histograms, exports flame-style Chrome trace JSON with flow
-// events between nodes, and keeps the K worst complete traces as exemplars.
+// Per-event counts live in each node's MetricsRegistry (kernel.*); they
+// cannot say where a location-independent invocation spent its time once the
+// kernel fans out across locates, redirects, activations, checkpoint writes
+// and retries on several nodes. Spans do: every unit of kernel work is a Span
+// with a causal parent, identified by a SpanContext that rides inside the
+// kernel's wire messages, so work performed on a remote node links to the
+// invocation (or checkpoint, or move) that caused it. A SpanCollector shared
+// by all node kernels assembles the spans of one trace into a tree,
+// attributes the end-to-end latency to typed phases along the critical path,
+// feeds trace.phase.* histograms, exports flame-style Chrome trace JSON with
+// flow events between nodes, and keeps the K worst complete traces as
+// exemplars. Together with the registry counters it is the only record of
+// kernel events.
 //
 // Determinism contract (determinism_test relies on this): tracing never
 // schedules simulation events, never consumes simulation randomness (span

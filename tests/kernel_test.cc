@@ -145,11 +145,14 @@ TEST_F(KernelFixture, RemoteInvocationIsLocationTransparent) {
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 1u);
   // Second invocation hits the location cache.
-  uint64_t broadcasts_before = system_.node(2).stats().locate_broadcasts;
+  const MetricsRegistry& metrics = system_.node(2).metrics();
+  uint64_t broadcasts_before =
+      metrics.CounterValue("kernel.locate.queries.broadcast");
   result = Call(system_.node(2), *cap, "increment");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.results.U64At(0).value(), 2u);
-  EXPECT_EQ(system_.node(2).stats().locate_broadcasts, broadcasts_before);
+  EXPECT_EQ(metrics.CounterValue("kernel.locate.queries.broadcast"),
+            broadcasts_before);
 }
 
 TEST_F(KernelFixture, RightsAreEnforcedPerOperation) {

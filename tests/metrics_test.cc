@@ -14,7 +14,7 @@
 
 #include "src/kernel/eden_system.h"
 #include "src/metrics/metrics.h"
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 #include "src/types/standard_types.h"
 
 namespace eden {
@@ -313,6 +313,20 @@ class MetricsSystemTest : public testing::Test {
     system_.AddNodes(3);
   }
 
+  // Root of the most recent completed trace rooted at an invocation.
+  const Span* LastInvocationRoot() const {
+    const Span* found = nullptr;
+    for (const TraceTree& tree : spans_.completed()) {
+      const Span* root = tree.root();
+      if (root != nullptr && root->kind == SpanKind::kInvocation) {
+        found = root;
+      }
+    }
+    return found;
+  }
+
+  // Declared first so it outlives the system it may be attached to.
+  SpanCollector spans_;
   EdenSystem system_;
 };
 
@@ -365,11 +379,8 @@ TEST_F(MetricsSystemTest, LocateMetricsAreBackendTagged) {
   EXPECT_EQ(m1.CounterValue("kernel.locate.queries.directory"), 1u);
   EXPECT_EQ(m1.CounterValue("kernel.locate.queries.broadcast"), 0u);
 
-  // The stats() view sums both backends into locate_queries and keeps
-  // locate_broadcasts as the broadcast-only slice.
-  KernelStats stats = system_.node(1).stats();
-  EXPECT_EQ(stats.locate_queries, 1u);
-  EXPECT_EQ(stats.locate_broadcasts, 0u);
+  // The stats() view sums both backends into locate_queries.
+  EXPECT_EQ(system_.node(1).stats().locate_queries, 1u);
 
   // Creation published a residence to the name's home partition somewhere,
   // and the home's entry count gauge reflects it.
@@ -408,37 +419,35 @@ TEST_F(MetricsSystemTest, RegistryJsonRoundTrips) {
 }
 
 TEST_F(MetricsSystemTest, ChromeTraceRoundTrips) {
-  TraceBuffer trace;
-  system_.node(0).set_trace(&trace);
-  system_.node(1).set_trace(&trace);
-
+  system_.set_span_collector(&spans_);
   auto cap = system_.node(0).CreateObject("std.counter", Representation{});
   ASSERT_TRUE(cap.ok());
   ASSERT_TRUE(system_.Await(system_.node(1).Invoke(*cap, "increment")).ok());
+  system_.RunFor(Milliseconds(20));  // let the reply-ACK wire spans close
+  const Span* invocation = LastInvocationRoot();
+  ASSERT_NE(invocation, nullptr);
 
-  JsonValue root = ParseJsonOrDie(trace.ExportChromeTrace());
+  JsonValue root = ParseJsonOrDie(spans_.ExportChromeTrace());
   const JsonValue& events = root.at("traceEvents");
   ASSERT_EQ(events.kind, JsonValue::kArray);
   ASSERT_FALSE(events.items.empty());
 
-  // The invoke start/complete pair must have folded into one "X" duration
-  // event whose duration matches the buffer's own latency accounting.
-  size_t durations = 0;
+  // Every span is one "X" slice; cross-node causality adds "s"/"f" flow
+  // pairs. The invocation root's slice carries its exact duration.
+  size_t root_slices = 0;
   for (const JsonValue& event : events.items) {
     const std::string& phase = event.at("ph").text;
-    ASSERT_FALSE(phase.empty());
-    if (phase == "X") {
-      durations++;
+    EXPECT_TRUE(phase == "X" || phase == "s" || phase == "f") << phase;
+    EXPECT_FALSE(event.at("name").text.empty());
+    if (phase == "X" && event.at("args").at("span").number ==
+                            static_cast<double>(invocation->span_id)) {
+      root_slices++;
       EXPECT_GT(event.at("dur").number, 0.0);
       EXPECT_NEAR(event.at("dur").number,
-                  static_cast<double>(trace.MeanInvocationLatency()) / 1000.0,
-                  1e-6);
-    } else {
-      EXPECT_EQ(phase, "i");
+                  static_cast<double>(invocation->duration()) / 1000.0, 1e-6);
     }
-    EXPECT_FALSE(event.at("name").text.empty());
   }
-  EXPECT_EQ(durations, 1u);
+  EXPECT_EQ(root_slices, 1u);
 }
 
 // --- InvokeOptions ---------------------------------------------------------
@@ -477,8 +486,7 @@ TEST_F(MetricsSystemTest, MetricsClassRecordsPerClassHistogram) {
 }
 
 TEST_F(MetricsSystemTest, TraceLabelAppearsInTrace) {
-  TraceBuffer trace;
-  system_.node(1).set_trace(&trace);
+  system_.set_span_collector(&spans_);
   auto cap = system_.node(0).CreateObject("std.counter", Representation{});
   ASSERT_TRUE(cap.ok());
   InvokeOptions options;
@@ -486,14 +494,10 @@ TEST_F(MetricsSystemTest, TraceLabelAppearsInTrace) {
   ASSERT_TRUE(
       system_.Await(system_.node(1).Invoke(*cap, "increment", {}, options)).ok());
 
-  bool found = false;
-  for (const TraceEvent& event : trace.events()) {
-    if (event.kind == TraceEventKind::kInvokeStart &&
-        event.detail.find("probe-7") != std::string::npos) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  system_.RunFor(Milliseconds(20));
+  const Span* invocation = LastInvocationRoot();
+  ASSERT_NE(invocation, nullptr);
+  EXPECT_EQ(invocation->label, "probe-7");
 }
 
 // --- Fluent topology builder -----------------------------------------------
@@ -547,17 +551,6 @@ TEST(NodeBuilder, WithLocationSelectsTheBackend) {
   tuned.directory_fanout = 2;
   NodeKernel& wide = system.AddNode("wide").WithLocation(tuned);
   EXPECT_EQ(wide.config().locate.directory_fanout, 2);
-}
-
-TEST(NodeBuilder, WithTraceWiresTheBuffer) {
-  EdenSystem system;
-  RegisterStandardTypes(system);
-  TraceBuffer trace;
-  system.AddNode("traced").WithTrace(&trace);
-  auto cap = system.node(0).CreateObject("std.counter", Representation{});
-  ASSERT_TRUE(cap.ok());
-  ASSERT_TRUE(system.Await(system.node(0).Invoke(*cap, "increment")).ok());
-  EXPECT_GT(trace.total_recorded(), 0u);
 }
 
 }  // namespace

@@ -181,7 +181,8 @@ TEST_P(DeterminismProperty, EqualSeedsProduceIdenticalExecutions) {
       const KernelStats& stats = system.node(n).stats();
       digest.Mix(stats.invocations_started);
       digest.Mix(stats.invocations_remote);
-      digest.Mix(stats.locate_broadcasts);
+      digest.Mix(system.node(n).metrics().CounterValue(
+          "kernel.locate.queries.broadcast"));
       digest.Mix(stats.dispatches);
     }
     digest.Mix(system.lan().stats().frames_sent);
