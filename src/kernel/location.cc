@@ -271,7 +271,12 @@ void DirectoryLocation::QueryRound(uint64_t query_id, const ObjectName& name,
     remote_sent = true;
   }
   if (std::find(homes.begin(), homes.end(), self) != homes.end()) {
-    if (const ResidenceRecord* record = LookupLocal(name, avoid)) {
+    // The kernel only locates objects it neither hosts nor holds, so a local
+    // record naming this node is stale: resolving to it would re-enter the
+    // locate synchronously, without end. Drop it like an avoided host.
+    std::vector<StationId> stale = avoid;
+    stale.push_back(self);
+    if (const ResidenceRecord* record = LookupLocal(name, stale)) {
       ResidenceRecord hit = *record;
       // Resolves synchronously: EndQuery erases pending_[query_id], so no
       // touching `query` past this point.

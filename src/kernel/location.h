@@ -60,8 +60,12 @@ std::string_view LocationBackendName(LocationBackend backend);
 struct LocateConfig {
   LocationBackend backend = LocationBackend::kDirectory;
   // Per-round timeout and round budget (shared by both backends; a directory
-  // miss's broadcast fallback consumes a round from the same budget).
-  SimDuration timeout = Milliseconds(50);
+  // miss's broadcast fallback consumes a round from the same budget). The
+  // round is timed from when the query is queued, and on a busy CSMA wire
+  // the query and its answers can each wait 100 ms for the medium, so the
+  // three rounds must together outlast that queue or a live object reads
+  // "not found".
+  SimDuration timeout = Milliseconds(150);
   int max_attempts = 3;
   // Passive holders delay their broadcast replies so an active host wins.
   SimDuration passive_reply_delay = Milliseconds(2);

@@ -45,6 +45,7 @@ Bytes InvokeRequestMsg::Encode() const {
     writer.WriteU32(host);
   }
   span.Encode(writer);
+  writer.WriteVarint(invocation_id - low_water);
   return writer.Take();
 }
 
@@ -66,6 +67,11 @@ StatusOr<InvokeRequestMsg> InvokeRequestMsg::Decode(BytesView message) {
     msg.avoid_hosts.push_back(host);
   }
   EDEN_ASSIGN_OR_RETURN(msg.span, SpanContext::Decode(reader));
+  EDEN_ASSIGN_OR_RETURN(uint64_t low_water_delta, reader.ReadVarint());
+  if (low_water_delta > msg.invocation_id) {
+    return InvalidArgumentError("low-water mark above the invocation id");
+  }
+  msg.low_water = msg.invocation_id - low_water_delta;
   return msg;
 }
 
@@ -167,6 +173,12 @@ Bytes MoveTransferMsg::Encode() const {
     entry.result.Encode(writer);
     writer.WriteBool(entry.frozen);
   }
+  // Floors as (client, floor - client base): a few bytes per client.
+  writer.WriteVarint(reply_floors.size());
+  for (const ReplyFloorEntry& entry : reply_floors) {
+    writer.WriteVarint(entry.client);
+    writer.WriteVarint(entry.floor - (entry.client << kInvocationSeqBits));
+  }
   return writer.Take();
 }
 
@@ -192,6 +204,21 @@ StatusOr<MoveTransferMsg> MoveTransferMsg::Decode(BytesView message) {
     EDEN_ASSIGN_OR_RETURN(entry.result, InvokeResult::Decode(reader));
     EDEN_ASSIGN_OR_RETURN(entry.frozen, reader.ReadBool());
     msg.cached_replies.push_back(std::move(entry));
+  }
+  EDEN_ASSIGN_OR_RETURN(uint64_t floor_count, reader.ReadVarint());
+  if (floor_count > 65536) {
+    return InvalidArgumentError("implausible reply-floor count");
+  }
+  for (uint64_t i = 0; i < floor_count; i++) {
+    MoveTransferMsg::ReplyFloorEntry entry;
+    EDEN_ASSIGN_OR_RETURN(entry.client, reader.ReadVarint());
+    EDEN_ASSIGN_OR_RETURN(uint64_t seq, reader.ReadVarint());
+    if (entry.client >> (64 - kInvocationSeqBits) != 0 ||
+        seq >> kInvocationSeqBits != 0) {
+      return InvalidArgumentError("reply floor out of range");
+    }
+    entry.floor = (entry.client << kInvocationSeqBits) | seq;
+    msg.reply_floors.push_back(entry);
   }
   return msg;
 }

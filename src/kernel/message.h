@@ -57,6 +57,10 @@ StatusOr<MessageKind> PeekMessageKind(BytesView message);
 
 constexpr StationId kNoStationRequest = 0xfffffffeu;
 
+// An invocation id is the invoking station above a per-station sequence
+// number of this many bits, so `id >> kInvocationSeqBits` names the client.
+constexpr int kInvocationSeqBits = 40;
+
 struct InvokeRequestMsg {
   uint64_t invocation_id = 0;
   StationId reply_to = 0;
@@ -71,6 +75,12 @@ struct InvokeRequestMsg {
   // fixed-width — all-zero when tracing is off — so the message size never
   // depends on whether a collector is attached.
   SpanContext span;
+  // The invoker's acknowledgement (DESIGN.md §7): every invocation it issued
+  // with a smaller id has finished, so the host may drop their cached replies
+  // and must not execute them again. It is the invoker's oldest pending id,
+  // never above `invocation_id`; forwarding keeps the original mark. Encoded
+  // as the varint `invocation_id - low_water`, one byte in a closed loop.
+  uint64_t low_water = 0;
 
   Bytes Encode() const;
   static StatusOr<InvokeRequestMsg> Decode(BytesView message);
@@ -155,6 +165,14 @@ struct MoveTransferMsg {
     bool frozen = false;
   };
   std::vector<CachedReplyEntry> cached_replies;
+  // The source's per-client acknowledgement floors (client = invocation id
+  // >> kInvocationSeqBits, floor = that client's highest low-water mark seen),
+  // so a stale retry is refused at the new home as it was at the old one.
+  struct ReplyFloorEntry {
+    uint64_t client = 0;
+    uint64_t floor = 0;
+  };
+  std::vector<ReplyFloorEntry> reply_floors;
 
   Bytes Encode() const;
   static StatusOr<MoveTransferMsg> Decode(BytesView message);

@@ -116,6 +116,10 @@ void NodeKernel::InitMetrics() {
   counters_.replica_fetches = &metrics_.counter("kernel.replica.fetches");
   counters_.replica_reads = &metrics_.counter("kernel.replica.reads");
   counters_.duplicate_requests = &metrics_.counter("kernel.duplicate_requests");
+  counters_.stale_requests =
+      &metrics_.counter("kernel.reply_cache.stale_requests");
+  counters_.reply_cache_cap_evictions =
+      &metrics_.counter("kernel.reply_cache.cap_evictions");
   counters_.lease_grants = &metrics_.counter("kernel.lease.grants");
   counters_.lease_recalls = &metrics_.counter("kernel.lease.recalls");
   counters_.lease_renewals = &metrics_.counter("kernel.lease.renewals");
@@ -132,6 +136,7 @@ void NodeKernel::InitMetrics() {
   invoke_latency_remote_ = &metrics_.histogram("kernel.invoke.latency.remote");
   locate_latency_ = &metrics_.histogram("kernel.locate.latency");
   checkpoint_latency_ = &metrics_.histogram("kernel.checkpoint.latency");
+  reply_cache_entries_ = &metrics_.gauge("kernel.reply_cache.entries");
 }
 
 KernelStats NodeKernel::stats() const {
@@ -194,7 +199,8 @@ SimDuration NodeKernel::SerializeCost(size_t bytes) const {
 }
 
 uint64_t NodeKernel::NewInvocationId() {
-  return (static_cast<uint64_t>(station()) << 40) | next_invocation_seq_++;
+  return (static_cast<uint64_t>(station()) << kInvocationSeqBits) |
+         next_invocation_seq_++;
 }
 
 bool NodeKernel::HasCheckpoint(const ObjectName& name) const {
@@ -518,6 +524,8 @@ void NodeKernel::SendRequestTo(uint64_t id, StationId host) {
   msg.args = pending.args;
   msg.avoid_hosts.assign(pending.dead_hosts.begin(), pending.dead_hosts.end());
   msg.span = pending.span;
+  // Every invocation below our oldest pending one has finished.
+  msg.low_water = pending_invocations_.begin()->first;
   Bytes encoded = msg.Encode();
 
   sim().Cancel(pending.attempt_timer);
@@ -918,6 +926,17 @@ void NodeKernel::OnMessage(StationId src, BytesView message) {
 
 void NodeKernel::HandleInvokeRequest(StationId src, InvokeRequestMsg msg) {
   uint64_t id = msg.invocation_id;
+  uint64_t client = id >> kInvocationSeqBits;
+
+  // Acknowledgement (Birrell & Nelson): the invoker has finished everything
+  // below its floor, so a request down there is a stale retry that nobody
+  // awaits. Drop it; executing it again would break at-most-once.
+  if (auto floor = reply_floors_.find(client);
+      floor != reply_floors_.end() && id < floor->second) {
+    counters_.stale_requests->Increment();
+    return;
+  }
+  RaiseReplyFloor(client, msg.low_water);
 
   // At-most-once execution: a retransmitted request must not run twice.
   if (auto cached = reply_cache_.find(id); cached != reply_cache_.end()) {
@@ -1167,6 +1186,13 @@ void NodeKernel::HandleLocateReply(const LocateReplyMsg& msg) {
 void NodeKernel::AcceptDispatch(const std::shared_ptr<ActiveObject>& object,
                                 PendingDispatch d) {
   if (!object->core->alive) {
+    // A local dispatch is scheduled a shortcut overhead ahead; if the object
+    // moved away in between, follow it as the move's queued dispatches did.
+    if (auto fwd = forwarding_.find(object->name);
+        fwd != forwarding_.end() && active_.count(object->name) == 0) {
+      ForwardDispatch(d, fwd->second.host);
+      return;
+    }
     RefuseDispatch(d, UnavailableError("object crashed"));
     return;
   }
@@ -1334,14 +1360,40 @@ void NodeKernel::RefuseDispatch(const PendingDispatch& d, Status status) {
   ReplyTo(d, InvokeResult::Error(std::move(status)), false);
 }
 
+void NodeKernel::ForwardDispatch(PendingDispatch& d, StationId host) {
+  if (d.local) {
+    SendRequestTo(d.request.invocation_id, host);
+  } else {
+    requests_in_progress_.erase(d.request.invocation_id);
+    transport_->SendReliable(host, d.request.Encode());
+  }
+}
+
+void NodeKernel::RaiseReplyFloor(uint64_t client, uint64_t mark) {
+  uint64_t base = client << kInvocationSeqBits;
+  auto floor = reply_floors_.try_emplace(client, base).first;
+  if (mark <= floor->second) {
+    return;
+  }
+  floor->second = mark;
+  reply_cache_.erase(reply_cache_.lower_bound(base),
+                     reply_cache_.lower_bound(mark));
+  reply_cache_entries_->Set(static_cast<int64_t>(reply_cache_.size()));
+}
+
 void NodeKernel::CacheReply(uint64_t invocation_id, const ObjectName& object,
                             const InvokeResult& result, bool frozen) {
-  reply_cache_[invocation_id] = CachedReply{result, frozen, object};
-  reply_cache_order_.push_back(invocation_id);
-  while (reply_cache_order_.size() > config_.reply_cache_capacity) {
-    reply_cache_.erase(reply_cache_order_.front());
-    reply_cache_order_.pop_front();
+  // The invoker may have finished already (timed out) and said so.
+  if (auto floor = reply_floors_.find(invocation_id >> kInvocationSeqBits);
+      floor != reply_floors_.end() && invocation_id < floor->second) {
+    return;
   }
+  reply_cache_[invocation_id] = CachedReply{result, frozen, object};
+  while (reply_cache_.size() > config_.reply_cache_capacity) {
+    reply_cache_.erase(reply_cache_.begin());
+    counters_.reply_cache_cap_evictions->Increment();
+  }
+  reply_cache_entries_->Set(static_cast<int64_t>(reply_cache_.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -2348,6 +2400,11 @@ DetachedTask NodeKernel::RunMove(std::shared_ptr<ActiveObject> object,
       msg.cached_replies.push_back({id, cached.result, cached.frozen});
     }
   }
+  // The floors are facts about clients, not about this object, and a stale
+  // retry must meet the same floor at the new home.
+  for (const auto& [client, floor] : reply_floors_) {
+    msg.reply_floors.push_back({client, floor});
+  }
   Bytes encoded = msg.Encode();
 
   PendingMove& pending = pending_moves_[transfer_id];
@@ -2423,7 +2480,11 @@ void NodeKernel::HandleMoveTransfer(StationId src, MoveTransferMsg msg) {
   // Home-side authority supersedes any read lease this node held as a client.
   lease_cache_.erase(msg.name);
   counters_.moves_in->Increment();
-  // Install the carried at-most-once replies before any retry can land here.
+  // Install the carried at-most-once state before any retry can land here:
+  // floors first, so carried replies they already acknowledge are skipped.
+  for (const auto& carried : msg.reply_floors) {
+    RaiseReplyFloor(carried.client, carried.floor);
+  }
   for (const auto& carried : msg.cached_replies) {
     if (reply_cache_.count(carried.invocation_id) == 0) {
       CacheReply(carried.invocation_id, msg.name, carried.result,
@@ -2501,24 +2562,16 @@ void NodeKernel::HandleMoveAck(const MoveAckMsg& msg) {
   CacheLocation(name, moved);
 
   // Re-route everything that queued during the move.
-  auto forward = [this, &pending](PendingDispatch& d) {
-    if (d.local) {
-      SendRequestTo(d.request.invocation_id, pending.destination);
-    } else {
-      requests_in_progress_.erase(d.request.invocation_id);
-      transport_->SendReliable(pending.destination, d.request.Encode());
-    }
-  };
   while (!object->hold_queue.empty()) {
     PendingDispatch d = std::move(object->hold_queue.front());
     object->hold_queue.pop_front();
-    forward(d);
+    ForwardDispatch(d, pending.destination);
   }
   for (auto& queue : object->class_queues) {
     while (!queue.empty()) {
       PendingDispatch d = std::move(queue.front());
       queue.pop_front();
-      forward(d);
+      ForwardDispatch(d, pending.destination);
     }
   }
 
@@ -2685,7 +2738,8 @@ void NodeKernel::FailNode() {
   pending_replica_fetches_.clear();
   requests_in_progress_.clear();
   reply_cache_.clear();
-  reply_cache_order_.clear();
+  reply_floors_.clear();
+  reply_cache_entries_->Set(0);
   activating_.clear();
   activation_local_waiters_.clear();
   activation_remote_hold_.clear();

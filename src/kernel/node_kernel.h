@@ -61,7 +61,10 @@ struct KernelConfig {
   // Frozen-object replication (section 4.3).
   bool cache_frozen_replicas = true;
 
-  // At-most-once server-side reply cache.
+  // Safety cap on the at-most-once reply cache. Entries normally leave when
+  // their invoker's low-water mark passes them (DESIGN.md §7); past this
+  // many, the lowest ids go, each counted in kernel.reply_cache.cap_evictions
+  // because a retry of an evicted invocation would execute again.
   size_t reply_cache_capacity = 4096;
 
   // Delta checkpoints (DESIGN.md §10). When enabled, a checkpoint of an
@@ -480,6 +483,11 @@ class NodeKernel {
   void ReplyTo(const PendingDispatch& d, InvokeResult result, bool target_frozen,
                uint64_t lease_renew_expiry = 0);
   void RefuseDispatch(const PendingDispatch& d, Status status);
+  // Sends a dispatch for an object that moved away on to its new host.
+  void ForwardDispatch(PendingDispatch& d, StationId host);
+  // Raises `client`'s acknowledgement floor to `mark` and erases the
+  // client's cached replies below it.
+  void RaiseReplyFloor(uint64_t client, uint64_t mark);
   void CacheReply(uint64_t invocation_id, const ObjectName& object,
                   const InvokeResult& result, bool frozen);
   SimDuration SerializeCost(size_t bytes) const;
@@ -593,6 +601,8 @@ class NodeKernel {
     Counter* replica_fetches = nullptr;
     Counter* replica_reads = nullptr;
     Counter* duplicate_requests = nullptr;
+    Counter* stale_requests = nullptr;
+    Counter* reply_cache_cap_evictions = nullptr;
     Counter* lease_grants = nullptr;
     Counter* lease_recalls = nullptr;
     Counter* lease_renewals = nullptr;
@@ -628,6 +638,7 @@ class NodeKernel {
   Histogram* invoke_latency_remote_ = nullptr;
   Histogram* locate_latency_ = nullptr;
   Histogram* checkpoint_latency_ = nullptr;
+  Gauge* reply_cache_entries_ = nullptr;
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<StableStore> store_;
   // The pluggable location backend (DESIGN.md §13); constructed after the
@@ -700,8 +711,13 @@ class NodeKernel {
     ObjectName object;
   };
   std::set<uint64_t> requests_in_progress_;
+  // Id-ordered, so one client's entries are a contiguous range and the
+  // safety cap evicts the lowest id.
   std::map<uint64_t, CachedReply> reply_cache_;
-  std::deque<uint64_t> reply_cache_order_;
+  // Per client (id >> kInvocationSeqBits): the highest low-water mark seen.
+  // Replies below it are gone and requests below it are refused. Ordered, so
+  // a move carries the floors in a deterministic order.
+  std::map<uint64_t, uint64_t> reply_floors_;
 
   uint64_t next_invocation_seq_ = 1;
   uint64_t next_object_seq_ = 1;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -360,7 +361,7 @@ TEST(Membership, SpreadPassRefillsALeanNode) {
 }
 
 // ---------------------------------------------------------------------------
-// At-most-once across moves (reply cache travels with the object)
+// At-most-once: the reply cache, its acknowledgement floors, and moves
 // ---------------------------------------------------------------------------
 
 TEST(Membership, ReplyCacheTravelsWithMove) {
@@ -408,6 +409,192 @@ TEST(Membership, ReplyCacheTravelsWithMove) {
       dups_before + 1);
 }
 
+// A hand-rolled increment from a client that does not exist (station 999),
+// so the test alone decides its invocation ids and low-water marks.
+Bytes FakeClientIncrement(EdenSystem& system, const Capability& cap,
+                          uint64_t seq, uint64_t low_water_seq) {
+  InvokeRequestMsg request;
+  request.invocation_id = (999ull << kInvocationSeqBits) | seq;
+  request.low_water = (999ull << kInvocationSeqBits) | low_water_seq;
+  request.reply_to = system.node(2).station();
+  request.target = cap;
+  request.operation = "increment";
+  request.args = InvokeArgs{}.AddU64(5);
+  return request.Encode();
+}
+
+uint64_t Metric(NodeKernel& node, const std::string& name) {
+  return node.metrics().counter(name).value();
+}
+
+// ROADMAP item 4's acceptance: the cache is bounded by acknowledgement, not
+// by age, so a retry still finds its reply after far more than
+// reply_cache_capacity other invocations have passed through the host.
+TEST(Membership, RetryAfterManyInterveningInvocationsIsNotReExecuted) {
+  EdenSystem system;
+  system.RegisterType(MakeCounterType());
+  system.AddNodes(3);
+  auto cap = system.node(0).CreateObject("counter", CounterRep());
+  ASSERT_TRUE(cap.ok());
+
+  Bytes wire = FakeClientIncrement(system, *cap, /*seq=*/1, /*low_water=*/1);
+  system.node(2).transport().SendReliable(system.node(0).station(),
+                                          Bytes(wire));
+  system.RunFor(Milliseconds(20));
+  ASSERT_EQ(CounterValue(system, system.node(1), *cap), 5u);
+
+  const size_t intervening =
+      system.node(0).config().reply_cache_capacity + 100;
+  for (size_t i = 0; i < intervening; i++) {
+    ASSERT_TRUE(Call(system, system.node(1), *cap, "increment",
+                     InvokeArgs{}.AddU64(1))
+                    .ok());
+  }
+  uint64_t expected = 5 + intervening;
+  ASSERT_EQ(CounterValue(system, system.node(1), *cap), expected);
+  // Node 1's own replies left as its low-water mark passed them.
+  EXPECT_LT(system.node(0).metrics().gauge("kernel.reply_cache.entries").value(),
+            10);
+  EXPECT_EQ(Metric(system.node(0), "kernel.reply_cache.cap_evictions"), 0u);
+
+  uint64_t dups_before = Metric(system.node(0), "kernel.duplicate_requests");
+  system.node(2).transport().SendReliable(system.node(0).station(),
+                                          Bytes(wire));
+  system.RunFor(Milliseconds(20));
+  EXPECT_EQ(CounterValue(system, system.node(1), *cap), expected)
+      << "the late retry executed a second time";
+  EXPECT_EQ(Metric(system.node(0), "kernel.duplicate_requests"),
+            dups_before + 1);
+}
+
+// Once a client's low-water mark passes an invocation, its reply is gone and
+// a retry of it is dropped and counted, never executed.
+TEST(Membership, RequestBelowTheClientFloorIsDropped) {
+  EdenSystem system;
+  system.RegisterType(MakeCounterType());
+  system.AddNodes(3);
+  auto cap = system.node(0).CreateObject("counter", CounterRep());
+  ASSERT_TRUE(cap.ok());
+  NodeKernel& host = system.node(0);
+  Gauge& entries = host.metrics().gauge("kernel.reply_cache.entries");
+
+  Bytes first = FakeClientIncrement(system, *cap, /*seq=*/2, /*low_water=*/2);
+  system.node(2).transport().SendReliable(host.station(), Bytes(first));
+  system.RunFor(Milliseconds(20));
+  EXPECT_EQ(entries.value(), 1);
+
+  // The client's next call says "everything below 10 has finished".
+  system.node(2).transport().SendReliable(
+      host.station(), FakeClientIncrement(system, *cap, 10, 10));
+  system.RunFor(Milliseconds(20));
+  EXPECT_EQ(entries.value(), 1) << "reply 2 should have left with the mark";
+  ASSERT_EQ(CounterValue(system, system.node(1), *cap), 10u);
+
+  system.node(2).transport().SendReliable(host.station(), Bytes(first));
+  system.RunFor(Milliseconds(20));
+  EXPECT_EQ(CounterValue(system, system.node(1), *cap), 10u);
+  EXPECT_EQ(Metric(host, "kernel.reply_cache.stale_requests"), 1u);
+}
+
+// Past the safety cap the lowest id goes, and the lapse is counted.
+TEST(Membership, ReplyCacheCapEvictsTheLowestIdAndCountsIt) {
+  SystemConfig config;
+  config.kernel.reply_cache_capacity = 2;
+  EdenSystem system(config);
+  system.RegisterType(MakeCounterType());
+  system.AddNodes(3);
+  auto cap = system.node(0).CreateObject("counter", CounterRep());
+  ASSERT_TRUE(cap.ok());
+  NodeKernel& host = system.node(0);
+
+  // Three unacknowledged replies (the mark never rises) against a cap of 2.
+  for (uint64_t seq : {1, 2, 3}) {
+    system.node(2).transport().SendReliable(
+        host.station(), FakeClientIncrement(system, *cap, seq, 1));
+    system.RunFor(Milliseconds(20));
+  }
+  EXPECT_EQ(host.metrics().gauge("kernel.reply_cache.entries").value(), 2);
+  EXPECT_EQ(Metric(host, "kernel.reply_cache.cap_evictions"), 1u);
+
+  // Id 1 was the lowest, so its retry finds no reply and runs again.
+  system.node(2).transport().SendReliable(
+      host.station(), FakeClientIncrement(system, *cap, 1, 1));
+  system.RunFor(Milliseconds(20));
+  EXPECT_EQ(CounterValue(system, system.node(1), *cap), 20u);
+}
+
+// The floors ride the move, so the same stale retry is refused at the new
+// home, which never saw the client.
+TEST(Membership, StaleRetryIsDroppedAtTheNewHostAfterAMove) {
+  EdenSystem system;
+  system.RegisterType(MakeCounterType());
+  system.AddNodes(3);
+  auto cap = system.node(0).CreateObject("counter", CounterRep());
+  ASSERT_TRUE(cap.ok());
+
+  Bytes first = FakeClientIncrement(system, *cap, /*seq=*/2, /*low_water=*/2);
+  system.node(2).transport().SendReliable(system.node(0).station(),
+                                          Bytes(first));
+  system.node(2).transport().SendReliable(
+      system.node(0).station(), FakeClientIncrement(system, *cap, 10, 10));
+  system.RunFor(Milliseconds(20));
+  ASSERT_EQ(CounterValue(system, system.node(1), *cap), 10u);
+
+  auto object = system.node(0).FindActive(cap->name());
+  ASSERT_NE(object, nullptr);
+  Status moved = system.Await(
+      system.node(0).MoveObject(object, system.node(1).station()));
+  ASSERT_TRUE(moved.ok()) << moved;
+
+  system.node(2).transport().SendReliable(system.node(1).station(),
+                                          Bytes(first));
+  system.RunFor(Milliseconds(20));
+  EXPECT_EQ(CounterValue(system, system.node(2), *cap), 10u)
+      << "stale retry executed at the new home";
+  EXPECT_EQ(Metric(system.node(1), "kernel.reply_cache.stale_requests"), 1u);
+}
+
+// A local invocation reaches its object a shortcut overhead after it is
+// issued. If the move completes inside that gap, the dispatch must follow
+// the object to its new host, not fail with "object crashed".
+TEST(Membership, LocalDispatchRacingAMoveFollowsTheObject) {
+  // Same seed, same steps: the first run learns when the move completes.
+  auto run = [](std::optional<SimDuration> invoke_before_done) {
+    EdenSystem system;
+    system.RegisterType(MakeCounterType());
+    system.AddNodes(2);
+    auto cap = system.node(0).CreateObject("counter", CounterRep());
+    EXPECT_TRUE(cap.ok());
+    system.RunFor(Milliseconds(10));
+    auto object = system.node(0).FindActive(cap->name());
+    SimTime started = system.sim().now();
+    Future<Status> moved =
+        system.node(0).MoveObject(object, system.node(1).station());
+    std::optional<Future<InvokeResult>> raced;
+    if (invoke_before_done) {
+      system.sim().Schedule(*invoke_before_done, [&] {
+        raced = system.node(0).Invoke(*cap, "increment",
+                                      InvokeArgs{}.AddU64(1));
+      });
+    }
+    Status status = system.Await(std::move(moved));
+    EXPECT_TRUE(status.ok()) << status;
+    SimDuration move_took = system.sim().now() - started;
+    // Let the new home finish its move-in before the system is torn down.
+    system.RunFor(Milliseconds(10));
+    if (raced) {
+      InvokeResult result = system.Await(std::move(*raced));
+      EXPECT_TRUE(result.ok()) << result.status;
+      EXPECT_EQ(CounterValue(system, system.node(1), *cap), 1u);
+    }
+    return move_took;
+  };
+  SimDuration move_took = run(std::nullopt);
+  ASSERT_GT(move_took, Microseconds(100));
+  // Issued 100 us before the move completes; dispatched after it.
+  run(move_took - Microseconds(100));
+}
+
 TEST(Membership, MoveTransferCachedRepliesRoundTrip) {
   MoveTransferMsg msg;
   msg.transfer_id = 42;
@@ -417,6 +604,7 @@ TEST(Membership, MoveTransferCachedRepliesRoundTrip) {
   msg.cached_replies.push_back(
       {11, InvokeResult::Ok(InvokeArgs{}.AddU64(5)), false});
   msg.cached_replies.push_back({12, InvokeResult::Ok(), true});
+  msg.reply_floors.push_back({3, (3ull << kInvocationSeqBits) | 17});
 
   auto decoded = MoveTransferMsg::Decode(msg.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -426,6 +614,9 @@ TEST(Membership, MoveTransferCachedRepliesRoundTrip) {
   EXPECT_FALSE(decoded->cached_replies[0].frozen);
   EXPECT_EQ(decoded->cached_replies[1].invocation_id, 12u);
   EXPECT_TRUE(decoded->cached_replies[1].frozen);
+  ASSERT_EQ(decoded->reply_floors.size(), 1u);
+  EXPECT_EQ(decoded->reply_floors[0].client, 3u);
+  EXPECT_EQ(decoded->reply_floors[0].floor, (3ull << kInvocationSeqBits) | 17);
 }
 
 // ---------------------------------------------------------------------------
@@ -566,9 +757,15 @@ RollingResult RunRollingRestart(uint64_t seed, size_t nodes, size_t restarts,
   return result;
 }
 
-TEST(RollingRestart, SixteenNodesZeroLostZeroDuplicated) {
+// The roll must hold on every seed, not just a lucky one: with a 50 ms
+// locate round, 9 of these 13 seeds ended some invocations "object not
+// found" because a lookup queued behind the busy wire outlived all three
+// rounds (DESIGN.md §13, the round budget).
+class RollingRestartSeeds : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RollingRestartSeeds, SixteenNodesZeroLostZeroDuplicated) {
   RollingResult result =
-      RunRollingRestart(/*seed=*/1981, /*nodes=*/16, /*restarts=*/16,
+      RunRollingRestart(/*seed=*/GetParam(), /*nodes=*/16, /*restarts=*/16,
                         /*clients=*/24, /*window=*/Seconds(6));
   EXPECT_GT(result.stats.completed, 1000u);
   EXPECT_EQ(result.stats.failed, 0u) << "lost invocations during the roll";
@@ -580,6 +777,10 @@ TEST(RollingRestart, SixteenNodesZeroLostZeroDuplicated) {
   // directory handoff window).
   EXPECT_LT(result.p99, Seconds(2));
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RollingRestartSeeds,
+                         ::testing::Values(1981, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           10, 11, 12));
 
 TEST(RollingRestart, SameSeedIsBitIdentical) {
   RollingResult a =

@@ -47,7 +47,31 @@ TEST(MessageTest, InvokeRequestRoundTrip) {
   EXPECT_EQ(decoded->operation, "put");
   EXPECT_EQ(decoded->args.StringAt(0).value(), "this is a new line");
   EXPECT_EQ(decoded->avoid_hosts, (std::vector<StationId>{9, 11}));
+  EXPECT_EQ(decoded->low_water, 0u);
   ExpectPrefixRejection<InvokeRequestMsg>(encoded);
+}
+
+TEST(MessageTest, InvokeRequestCarriesItsLowWaterMark) {
+  InvokeRequestMsg msg;
+  msg.invocation_id = (7ull << kInvocationSeqBits) | 300;
+  msg.low_water = (7ull << kInvocationSeqBits) | 299;
+  msg.target = SampleCapability();
+  msg.operation = "get";
+  Bytes encoded = msg.Encode();
+  auto decoded = InvokeRequestMsg::Decode(encoded);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->low_water, msg.low_water);
+
+  // The mark costs one byte in a closed loop (delta 1)...
+  InvokeRequestMsg same = msg;
+  same.low_water = same.invocation_id;
+  EXPECT_EQ(same.Encode().size(), encoded.size());
+
+  // ...and a delta larger than the id itself (a mark "above" the
+  // invocation, which wraps) is rejected.
+  InvokeRequestMsg above = msg;
+  above.low_water = msg.invocation_id + 1;
+  EXPECT_FALSE(InvokeRequestMsg::Decode(above.Encode()).ok());
 }
 
 TEST(MessageTest, InvokeReplyRoundTrip) {
